@@ -1,11 +1,11 @@
-.PHONY: all build test fuzz-smoke serve-smoke serve-stress tune-smoke promote bench-quick bench-serve bench-serve-quick fmt lint-examples lint-distance trace-demo clean
+.PHONY: all build test fuzz-smoke serve-smoke serve-stress tune-smoke bench-smoke promote bench-quick bench-serve bench-serve-quick fmt lint-examples lint-distance trace-demo clean
 
 all: build
 
 build:
 	dune build
 
-test: fuzz-smoke serve-smoke serve-stress lint-distance tune-smoke bench-serve-quick
+test: fuzz-smoke serve-smoke serve-stress lint-distance tune-smoke bench-serve-quick bench-smoke
 	dune runtest
 
 # Bounded differential fuzzing pass: every generated module must agree
@@ -40,6 +40,13 @@ serve-stress: build
 tune-smoke: build
 	sh bin/tune_smoke.sh _build/default/bin/psc_main.exe \
 	  _build/default/bench/main.exe
+
+# The repo benchmark (perfbench/, declared in BENCHMARK.json) in smoke
+# mode: builds psc and the benchmark from this checkout and runs every
+# workload briefly with its correctness oracles.  Part of `make test`,
+# so a facade change that breaks the benchmark's build fails here.
+bench-smoke:
+	sh perfbench/run.sh --smoke
 
 # Re-bless the golden snapshots (test/golden/) after reviewing an
 # intended schedule or back-end change.

@@ -210,10 +210,11 @@ let part2 () =
      single varying-extent DOALL per diagonal (collapsing is a no-op;
      this row isolates the pool protocol).
 
-   For each size: sequential, the fixed-chunk single-queue pool (the
-   runtime as it was — the baseline), work stealing with guided chunks,
-   and stealing plus collapsing.  Each configuration is timed best-of-N
-   and recorded into the JSON trajectory. *)
+   For each size: sequential, then the policy presets on one pool —
+   fixed chunks on a single queue (the runtime as it was — the
+   baseline), work stealing with guided chunks, and stealing plus
+   collapsing — and the static cost model's table.  Each configuration is
+   timed best-of-N and recorded into the JSON trajectory. *)
 
 let experiments : string list ref = ref []
 
@@ -261,8 +262,7 @@ let part2b () =
   Fmt.pr "Part 2b: runtime A/B (collapse x pool scheduler; pool = %d)@."
     ab_pool_size;
   Fmt.pr "============================================================@.@.";
-  let pool_steal = Psc.Pool.create ab_pool_size in
-  let pool_fixed = Psc.Pool.create ~steal:false ab_pool_size in
+  let pool = Psc.Pool.create ab_pool_size in
   (* Pool counters are gated on the metrics flag; turn it on for the A/B
      section so every pooled row carries steal/utilization data, and off
      again afterwards so part 3's micro-benchmarks run uninstrumented. *)
@@ -272,27 +272,24 @@ let part2b () =
   (* Timings aggregate over [time_best]'s reps, and so do the pool
      counters: utilization and imbalance are ratios of the accumulated
      sums, which is what we want reported. *)
-  let timed_pool pool ?policy ~collapse
-      (runner :
-        ?pool:Psc.Pool.t -> ?policy:Psc.Policy.table -> collapse:bool ->
-        unit -> unit) =
+  let timed_pool policy
+      (runner : ?pool:Psc.Pool.t -> ?policy:Psc.Policy.table -> unit -> unit) =
     Psc.Pool.reset_stats pool;
-    let t = time_best (fun () -> runner ~pool ?policy ~collapse ()) in
+    let t = time_best (fun () -> runner ~pool ~policy ()) in
     (t, Psc.Pool.summary pool)
   in
-  let ab name ws ~auto
-      (runner :
-        ?pool:Psc.Pool.t -> ?policy:Psc.Policy.table -> collapse:bool ->
-        unit -> unit) =
-    let t_seq = time_best (fun () -> runner ~collapse:false ()) in
-    let t_fixed, sm_fixed = timed_pool pool_fixed ~collapse:false runner in
-    let t_steal, sm_steal = timed_pool pool_steal ~collapse:false runner in
-    let t_sc, sm_sc = timed_pool pool_steal ~collapse:true runner in
+  (* [policy] names a table for the workload: a preset, or "static". *)
+  let ab name ws ~policy
+      (runner : ?pool:Psc.Pool.t -> ?policy:Psc.Policy.table -> unit -> unit) =
+    let t_seq = time_best (fun () -> runner ()) in
+    let t_fixed, sm_fixed = timed_pool (policy "fixed") runner in
+    let t_steal, sm_steal = timed_pool (policy "steal") runner in
+    let t_sc, sm_sc = timed_pool (policy "steal+collapse") runner in
     (* The fifth column runs under the static cost model's per-nest
        table, sized to the host (not the benchmark pool): on a small
        host the table refuses to fork and the row must match the
        sequential one — that is the claim under test. *)
-    let table : Psc.Policy.table = auto () in
+    let table : Psc.Policy.table = policy "static" in
     let forks =
       List.exists
         (fun (_, (d : Psc.Policy.decision)) -> d.Psc.Policy.d_par)
@@ -305,9 +302,9 @@ let part2b () =
     in
     let t_auto, sm_auto =
       if forks then
-        let t, sm = timed_pool pool_steal ~policy:table ~collapse:false runner in
+        let t, sm = timed_pool table runner in
         (t, Some sm)
-      else (time_best (fun () -> runner ~policy:table ~collapse:false ()), None)
+      else (time_best (fun () -> runner ~policy:table ()), None)
     in
     record ~name:(name ^ "_seq") ~wall:t_seq ~ws ~pool:1 ~steal:false
       ~collapse:false ~policy:"seq" ~stats:None;
@@ -335,19 +332,19 @@ let part2b () =
       ab
         (Printf.sprintf "fig6_m%d" m)
         (Psc.work_span jacobi ~env)
-        ~auto:(fun () -> Psc.static_policy ~cores:host_cores jacobi ~env)
-        (fun ?pool ?policy ~collapse () ->
-          ignore (Psc.run ~check:false ?pool ?policy ~collapse jacobi ~inputs));
+        ~policy:(Psc.named_policy ~cores:host_cores jacobi ~env)
+        (fun ?pool ?policy () ->
+          ignore (Psc.run ~check:false ?pool ?policy jacobi ~inputs));
       ab
         (Printf.sprintf "h3_m%d" m)
         (Psc.work_span ~name:hyper_name ~sink:true ~trim:true hyper_project ~env)
-        ~auto:(fun () ->
-          Psc.static_policy ~name:hyper_name ~sink:true ~trim:true
-            ~cores:host_cores hyper_project ~env)
-        (fun ?pool ?policy ~collapse () ->
+        ~policy:
+          (Psc.named_policy ~name:hyper_name ~sink:true ~trim:true
+             ~cores:host_cores hyper_project ~env)
+        (fun ?pool ?policy () ->
           ignore
-            (Psc.run ~check:false ?pool ?policy ~collapse ~name:hyper_name
-               ~sink:true ~trim:true hyper_project ~inputs)))
+            (Psc.run ~check:false ?pool ?policy ~name:hyper_name ~sink:true
+               ~trim:true hyper_project ~inputs)))
     rel_sizes;
   let lcs_project = Psc.load_string Ps_models.Models.lcs in
   let lcs_project, lcs_tr = Psc.hyperplane ~target:"L" lcs_project in
@@ -366,13 +363,13 @@ let part2b () =
         (Printf.sprintf "lcs_n%d" n)
         (Psc.work_span ~name:lcs_name ~sink:true ~trim:true lcs_project
            ~env:[ ("N", n) ])
-        ~auto:(fun () ->
-          Psc.static_policy ~name:lcs_name ~sink:true ~trim:true
-            ~cores:host_cores lcs_project ~env:[ ("N", n) ])
-        (fun ?pool ?policy ~collapse () ->
+        ~policy:
+          (Psc.named_policy ~name:lcs_name ~sink:true ~trim:true
+             ~cores:host_cores lcs_project ~env:[ ("N", n) ])
+        (fun ?pool ?policy () ->
           ignore
-            (Psc.run ~check:false ?pool ?policy ~collapse ~name:lcs_name
-               ~sink:true ~trim:true lcs_project ~inputs)))
+            (Psc.run ~check:false ?pool ?policy ~name:lcs_name ~sink:true
+               ~trim:true lcs_project ~inputs)))
     lcs_sizes;
   (* The two new schedule classes of the symbolic distance analysis: a
      constant-stride recurrence runs as DOGROUP(2) (two independent
@@ -388,29 +385,27 @@ let part2b () =
       ab
         (Printf.sprintf "grp_n%d" n)
         (Psc.work_span grp_project ~env:[ ("N", n) ])
-        ~auto:(fun () ->
-          Psc.static_policy ~cores:host_cores grp_project ~env:[ ("N", n) ])
-        (fun ?pool ?policy ~collapse () ->
+        ~policy:(Psc.named_policy ~cores:host_cores grp_project ~env:[ ("N", n) ])
+        (fun ?pool ?policy () ->
           ignore
-            (Psc.run ~check:false ?pool ?policy ~collapse grp_project
+            (Psc.run ~check:false ?pool ?policy grp_project
                ~inputs:[ ("A", a); ("N", Psc.Exec.scalar_int n) ]));
       let k = 7 in
       ab
         (Printf.sprintf "insp_n%d" n)
         (Psc.work_span insp_project ~env:[ ("N", n); ("K", k) ])
-        ~auto:(fun () ->
-          Psc.static_policy ~cores:host_cores insp_project
-            ~env:[ ("N", n); ("K", k) ])
-        (fun ?pool ?policy ~collapse () ->
+        ~policy:
+          (Psc.named_policy ~cores:host_cores insp_project
+             ~env:[ ("N", n); ("K", k) ])
+        (fun ?pool ?policy () ->
           ignore
-            (Psc.run ~check:false ?pool ?policy ~collapse insp_project
+            (Psc.run ~check:false ?pool ?policy insp_project
                ~inputs:
                  [ ("A", a);
                    ("N", Psc.Exec.scalar_int n);
                    ("K", Psc.Exec.scalar_int k) ])))
     stride_sizes;
-  Psc.Pool.shutdown pool_steal;
-  Psc.Pool.shutdown pool_fixed;
+  Psc.Pool.shutdown pool;
   Psc.Metrics.set_enabled false;
   Fmt.pr "@."
 

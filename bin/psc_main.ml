@@ -87,11 +87,64 @@ let trim_arg =
 
 let collapse_arg =
   let doc =
-    "Mark perfectly nested DOALL bands for collapsing: the interpreter \
-     flattens a marked band into one combined iteration space, and the C \
-     back end widens the OpenMP pragma with a collapse clause."
+    "Mark the heads of perfectly nested DOALL bands (printed with a \
+     $(b,*)).  Marks are for display and verification; whether a band is \
+     flattened is the policy's choice ($(b,run --policy steal+collapse))."
   in
   Arg.(value & flag & info [ "collapse" ] ~doc)
+
+(* How a proven DOALL is walked: a named preset, the static cost model,
+   or a tuned table from a file.  Shared by run and emit-c. *)
+let policy_mode_arg =
+  let modes = Psc.Policy.preset_names @ [ "static"; "cached" ] in
+  Arg.(
+    value
+    & opt (enum (List.map (fun m -> (m, m)) modes)) "steal"
+    & info [ "policy" ] ~docv:"MODE"
+        ~doc:
+          "Per-nest scheduling policy: the presets $(b,seq) (no nest \
+           forks), $(b,fixed) (fixed-chunk single queue), $(b,steal) \
+           (default: work stealing with guided chunks) and \
+           $(b,steal+collapse) (stealing, DOALL bands flattened); \
+           $(b,static) decides each nest from the cost model (work, span, \
+           trip counts — tiny nests run sequentially); $(b,cached) loads \
+           a tuned table from $(b,--policy-file) (stale tables warn W121 \
+           and fall back to the static model).")
+
+let policy_file_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "policy-file" ] ~docv:"FILE"
+        ~doc:"Tuned policy table (JSON, as printed by $(b,psc tune)) for \
+              $(b,--policy cached); passing the file alone implies the \
+              mode.")
+
+(* The table a --policy/--policy-file pair selects; [None] is the
+   default steal mode, which every nest gets without a table. *)
+let select_policy ?name ~sink ~fuse ~trim ~host_cores t ~env mode file =
+  let static () =
+    Psc.named_policy ?name ~sink ~fuse ~trim ~cores:host_cores t ~env "static"
+  in
+  match (mode, file) with
+  | ("cached" | "steal"), Some f -> (
+    match Psc.Policy.of_json (read_source f) with
+    | Error m ->
+      report Fmt.stderr
+        [ Psc.Diag.diag Psc.Diag.Bad_policy Psc.Loc.dummy "%s: %s" f m ];
+      exit 1
+    | Ok tp ->
+      let sc = Psc.schedule ~sink ~fuse ~trim (Psc.the_module ?name t) in
+      let diags = Psc.Verify.policy_table ~host_cores tp sc.Psc.sc_flowchart in
+      report Fmt.stderr diags;
+      if Psc.Diag.errors diags <> [] then exit 1;
+      Some (if Psc.Policy.stale tp ~host_cores then static () else tp))
+  | "cached", None ->
+    Fmt.epr "psc: --policy cached requires --policy-file FILE@.";
+    exit 2
+  | "steal", None -> None
+  | mode, _ ->
+    Some (Psc.named_policy ?name ~sink ~fuse ~trim ~cores:host_cores t ~env mode)
 
 let verify_arg =
   let doc =
@@ -298,65 +351,35 @@ let emit_c_cmd =
           ~doc:"Also emit a main() harness that fills inputs and prints checksums \
                 (requires every scalar input via --input).")
   in
-  let run file name sink collapse main inputs verify trace =
+  let run file name sink main inputs verify policy_mode policy_file trace =
     handle (fun () ->
         with_trace trace @@ fun () ->
         let t = load file in
-        if verify then
-          verify_schedule (Psc.schedule ~sink ~collapse (Psc.the_module ?name t));
+        if verify then verify_schedule (Psc.schedule ~sink (Psc.the_module ?name t));
+        let policy =
+          select_policy ?name ~sink ~fuse:false ~trim:false
+            ~host_cores:(Psc.Pool.recommended_size ()) t ~env:inputs policy_mode
+            policy_file
+        in
         if main then
-          print_string (Psc.emit_c_main ?name ~sink ~collapse ~scalars:inputs t)
-        else print_string (Psc.emit_c ?name ~sink ~collapse t))
+          print_string (Psc.emit_c_main ?name ~sink ?policy ~scalars:inputs t)
+        else print_string (Psc.emit_c ?name ~sink ?policy t))
   in
   Cmd.v
     (Cmd.info "emit-c" ~doc:"Generate C code for a module.")
-    Term.(const run $ file_arg $ module_arg $ sink_arg $ collapse_arg $ main
-          $ inputs_arg $ verify_arg $ trace_arg)
+    Term.(const run $ file_arg $ module_arg $ sink_arg $ main $ inputs_arg
+          $ verify_arg $ policy_mode_arg $ policy_file_arg $ trace_arg)
 
-(* Fill array inputs with the shared deterministic generator. *)
-let default_inputs _t em (scalars : (string * int) list) =
-  let open Psc in
-  List.map
-    (fun (d : Elab.data) ->
-      let dims = Stypes.dims d.Elab.d_ty in
-      if dims = [] then (
-        match List.assoc_opt d.Elab.d_name scalars with
-        | Some v -> (d.Elab.d_name, Exec.scalar_int v)
-        | None -> raise (Psc.Error (Printf.sprintf "missing --input %s=INT" d.Elab.d_name)))
-      else begin
-        (* Evaluate the bounds with the scalar inputs we have. *)
-        let env v = List.assoc_opt v scalars in
-        let bounds =
-          List.map
-            (fun (sr : Stypes.subrange) ->
-              let eval e =
-                match Linexpr.of_expr e with
-                | Some l -> Linexpr.eval env l
-                | None ->
-                  raise (Psc.Error (Printf.sprintf "non-linear bound on input %s" d.Elab.d_name))
-              in
-              (eval sr.Stypes.sr_lo, eval sr.Stypes.sr_hi))
-            dims
-        in
-        let extents = List.map (fun (lo, hi) -> hi - lo + 1) bounds in
-        let strides =
-          let rec go = function
-            | [] -> []
-            | _ :: rest as l ->
-              (List.fold_left ( * ) 1 (List.tl l)) :: go rest
-          in
-          go extents
-        in
-        let lows = List.map fst bounds in
-        ( d.Elab.d_name,
-          Exec.array_real ~dims:bounds (fun ix ->
-              let flat = ref 0 in
-              List.iteri
-                (fun p s -> flat := !flat + ((ix.(p) - List.nth lows p) * s))
-                strides;
-              Ps_models.Models.fill_value !flat) )
-      end)
-    em.Psc.Elab.em_params
+(* Fill array inputs with the shared deterministic generator (the one
+   the emitted C harness, the fuzzer and the server use). *)
+let default_inputs em (scalars : (string * int) list) =
+  List.iter
+    (fun (d : Psc.Elab.data) ->
+      let name = d.Psc.Elab.d_name in
+      if Psc.Stypes.dims d.Psc.Elab.d_ty = [] && not (List.mem_assoc name scalars)
+      then Psc.error "missing --input %s=INT" name)
+    em.Psc.Elab.em_params;
+  Ps_fuzz.Diff.default_inputs em ~scalars
 
 (* Measure candidate per-nest scheduling policies with the loop-level
    profiler and print the winning table as JSON — the same table `psc
@@ -393,7 +416,7 @@ let tune_cmd =
         let t = load file in
         print_warnings t;
         let em = Psc.the_module ?name t in
-        let ins = default_inputs t em inputs in
+        let ins = default_inputs em inputs in
         let table =
           Psc.tune ?name ~sink ~fuse ~trim ?cores ~reps t ~inputs:ins
             ~env:inputs
@@ -428,13 +451,6 @@ let run_cmd =
   let no_windows =
     Arg.(value & flag & info [ "no-windows" ] ~doc:"Disable virtual-dimension storage windows.")
   in
-  let no_steal =
-    Arg.(
-      value & flag
-      & info [ "no-steal" ]
-          ~doc:"Use the fixed-chunk single-queue pool scheduler instead of \
-                work stealing with guided chunks (the A/B baseline).")
-  in
   let stats_flag =
     Arg.(
       value & flag
@@ -449,29 +465,6 @@ let run_cmd =
       & info [ "metrics-json" ]
           ~doc:"After execution, print the metrics registry as a JSON array.")
   in
-  let policy_mode =
-    Arg.(
-      value
-      & opt (enum [ ("static", `Static); ("cached", `Cached); ("off", `Off) ])
-          `Off
-      & info [ "policy" ] ~docv:"MODE"
-          ~doc:
-            "Per-nest scheduling policy: $(b,static) decides each nest \
-             from the cost model (work, span, trip counts — tiny nests \
-             run sequentially), $(b,cached) loads a tuned table from \
-             $(b,--policy-file) (stale tables warn W121 and fall back \
-             to the static model), $(b,off) (default) keeps the global \
-             flags.")
-  in
-  let policy_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "policy-file" ] ~docv:"FILE"
-          ~doc:"Tuned policy table (JSON, as printed by $(b,psc tune)) \
-                for $(b,--policy cached); passing the file alone \
-                implies the mode.")
-  in
   let tune_flag =
     Arg.(
       value & flag
@@ -479,37 +472,18 @@ let run_cmd =
           ~doc:"Tune before running: replay the nests under candidate \
                 policies on the profiler and execute with the winner.")
   in
-  let run file name sink fuse trim collapse inputs par no_windows no_steal verify
-      stats metrics_json policy_mode policy_file tune trace =
+  let run file name sink fuse trim inputs par no_windows verify stats
+      metrics_json policy_mode policy_file tune trace =
     handle (fun () ->
         with_trace trace @@ fun () ->
         if stats || metrics_json then Psc.Metrics.set_enabled true;
         if stats then Psc.Prof.set_enabled true;
         let t = load file in
         let em = Psc.the_module ?name t in
-        if verify then verify_schedule (Psc.schedule ~sink ~fuse ~trim ~collapse em);
-        let ins = default_inputs t em inputs in
+        if verify then verify_schedule (Psc.schedule ~sink ~fuse ~trim em);
+        let ins = default_inputs em inputs in
         let host_cores =
           match par with Some n -> max 1 n | None -> Psc.Pool.recommended_size ()
-        in
-        let static_table () =
-          Psc.static_policy ?name ~sink ~fuse ~trim ~cores:host_cores t
-            ~env:inputs
-        in
-        let load_table f =
-          match Psc.Policy.of_json (read_source f) with
-          | Error m ->
-            report Fmt.stderr
-              [ Psc.Diag.diag Psc.Diag.Bad_policy Psc.Loc.dummy "%s: %s" f m ];
-            exit 1
-          | Ok tp ->
-            let sc = Psc.schedule ~sink ~fuse ~trim ~collapse:true em in
-            let diags =
-              Psc.Verify.policy_table ~host_cores tp sc.Psc.sc_flowchart
-            in
-            report Fmt.stderr diags;
-            if Psc.Diag.errors diags <> [] then exit 1;
-            if Psc.Policy.stale tp ~host_cores then static_table () else tp
         in
         let policy =
           if tune then
@@ -517,17 +491,12 @@ let run_cmd =
               (Psc.tune ?name ~sink ~fuse ~trim ~cores:host_cores t ~inputs:ins
                  ~env:inputs)
           else
-            match (policy_mode, policy_file) with
-            | `Off, None -> None
-            | `Static, _ -> Some (static_table ())
-            | (`Cached | `Off), Some f -> Some (load_table f)
-            | `Cached, None ->
-              Fmt.epr "psc run: --policy cached requires --policy-file FILE@.";
-              exit 2
+            select_policy ?name ~sink ~fuse ~trim ~host_cores t ~env:inputs
+              policy_mode policy_file
         in
         let exec pool =
-          Psc.run ?name ~sink ~fuse ~trim ~collapse
-            ~use_windows:(not no_windows) ?pool ?policy t ~inputs:ins
+          Psc.run ?name ~sink ~fuse ~trim ~use_windows:(not no_windows) ?pool
+            ?policy t ~inputs:ins
         in
         (* The pool's per-worker table must be rendered before [with_pool]
            drains the counters into the registry on the way out. *)
@@ -535,7 +504,7 @@ let run_cmd =
         let r =
           match par with
           | Some n ->
-            Psc.Pool.with_pool ~steal:(not no_steal) n (fun pool ->
+            Psc.Pool.with_pool n (fun pool ->
                 let r = exec (Some pool) in
                 if stats then pool_table := Some (Psc.Pool.render_stats pool);
                 r)
@@ -579,8 +548,8 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Schedule and execute a module on the interpreter substrate.")
     Term.(const run $ file_arg $ module_arg $ sink_arg $ fuse_arg $ trim_arg
-          $ collapse_arg $ inputs_arg $ par $ no_windows $ no_steal $ verify_arg
-          $ stats_flag $ metrics_json $ policy_mode $ policy_file $ tune_flag
+          $ inputs_arg $ par $ no_windows $ verify_arg $ stats_flag
+          $ metrics_json $ policy_mode_arg $ policy_file_arg $ tune_flag
           $ trace_arg)
 
 let eqn_cmd =

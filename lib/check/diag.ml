@@ -44,6 +44,7 @@ type code =
   | Deadline_exceeded
   | Server_draining
   | Server_overloaded
+  | Internal_error
 
 let code_id = function
   | Undefined_data -> "E001"
@@ -83,6 +84,7 @@ let code_id = function
   | Deadline_exceeded -> "E031"
   | Server_draining -> "E032"
   | Server_overloaded -> "E033"
+  | Internal_error -> "E034"
 
 let code_severity c =
   match (code_id c).[0] with 'E' -> Error | _ -> Warning

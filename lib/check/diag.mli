@@ -68,7 +68,8 @@ type code =
                                  run fell back to the static cost model *)
   | Bad_policy               (** E025: a scheduling-policy table is ill-formed
                                  for this flowchart (unknown nest key, collapse
-                                 on an unmarked head, or bad chunk bounds) *)
+                                 on a nest that heads no DOALL band, or bad
+                                 chunk bounds) *)
   (* The compile service (E03x).  Per-request diagnostics from
      [psc serve]: the request is answered with the diagnostic, the
      server itself stays up. *)
@@ -81,6 +82,10 @@ type code =
   | Server_overloaded        (** E033: the bounded request queue is full, so
                                  the server shed this request instead of
                                  queueing it unboundedly — retry with backoff *)
+  | Internal_error           (** E034: the request hit a fault inside psc
+                                 (an exception no other code covers); it is
+                                 answered under its own id and the server
+                                 stays up *)
 
 val code_id : code -> string
 (** The stable identifier, e.g. ["E010"]. *)

@@ -279,7 +279,7 @@ let emit_layout buf (al : array_layout) =
 
 (* ------------------------------------------------------------------ *)
 
-let rec emit_descriptor st buf ~depth ~indent ~par ~bound ~policy
+let rec emit_descriptor st buf ~depth ~indent ~par ~bound ~policy ~nest
     (d : Ps_sched.Flowchart.descriptor) =
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let pad = String.make indent ' ' in
@@ -324,60 +324,44 @@ let rec emit_descriptor st buf ~depth ~indent ~par ~bound ~policy
     let ctx = { x_em = (let e, _, _ = st in e); x_indices = bound } in
     let lo = expr_to_c ctx l.Ps_sched.Flowchart.lp_range.Stypes.sr_lo in
     let hi = expr_to_c ctx l.Ps_sched.Flowchart.lp_range.Stypes.sr_hi in
-    (* Depth of the collapsible DOALL band headed here (1 = no band):
-       consecutive [lp_collapse] marks license an OpenMP collapse
-       clause over the perfect nest. *)
-    let rec band_depth (b : Ps_sched.Flowchart.loop) =
-      if b.Ps_sched.Flowchart.lp_collapse then
-        match b.Ps_sched.Flowchart.lp_body with
-        | [ Ps_sched.Flowchart.D_loop inner ] -> 1 + band_depth inner
-        | _ -> 1
-      else 1
-    in
     let opened = ref 1 in
-    (* The nest's policy decision, if any: per-loop pragma shape instead
-       of the uniform annotation.  An empty policy emits byte-identical
-       legacy output. *)
+    (* The decision steering this loop: a fork candidate's table entry
+       (or [Policy.default]); inside a nest, the nest's decision. *)
     let dec =
-      List.find_map
-        (fun (m, dc) -> if m == l then Some dc else None)
-        policy
+      if not par then nest
+      else
+        match List.find_opt (fun (m, _) -> m == l) policy with
+        | Some (_, dc) -> dc
+        | None -> Ps_sched.Policy.default
     in
-    let forked =
-      match dec with Some dc -> dc.Ps_sched.Policy.d_par | None -> true
-    in
+    let forked = dec.Ps_sched.Policy.d_par in
     (* The OpenMP schedule clause a decision asks for: dynamic for
        stealing, static otherwise, chunked when the policy sets a
        floor. *)
     let sched_clause () =
-      match dec with
-      | None -> ""
-      | Some dc -> (
-        match dc.Ps_sched.Policy.d_chunk_min with
-        | Some c ->
-          Printf.sprintf " schedule(%s, %d)"
-            (if dc.Ps_sched.Policy.d_steal then "dynamic" else "static")
-            c
-        | None ->
-          if dc.Ps_sched.Policy.d_steal then "" else " schedule(static)")
+      match dec.Ps_sched.Policy.d_chunk_min with
+      | Some c ->
+        Printf.sprintf " schedule(%s, %d)"
+          (if dec.Ps_sched.Policy.d_steal then "dynamic" else "static")
+          c
+      | None -> if dec.Ps_sched.Policy.d_steal then "" else " schedule(static)"
     in
     (match l.Ps_sched.Flowchart.lp_kind with
      | Ps_sched.Flowchart.Parallel ->
+       (* Depth of the DOALL band headed here when the decision asks for
+          collapse (1 = no band): an OpenMP collapse clause over the
+          perfect nest. *)
        let bd =
-         match dec with
-         | Some dc when not dc.Ps_sched.Policy.d_collapse -> 1
-         | _ -> band_depth l
+         if dec.Ps_sched.Policy.d_collapse then
+           List.length (Ps_sched.Collapse.band l)
+         else 1
        in
-       if par then begin
-         match dec with
-         | Some dc when not dc.Ps_sched.Policy.d_par ->
-           pf "%s/* policy: sequential (%s) */\n" pad dc.Ps_sched.Policy.d_why
-         | _ ->
-           if bd > 1 then
-             pf "%s#pragma omp parallel for collapse(%d)%s\n" pad bd
-               (sched_clause ())
-           else pf "%s#pragma omp parallel for%s\n" pad (sched_clause ())
-       end;
+       if par && not forked then
+         pf "%s/* policy: sequential (%s) */\n" pad dec.Ps_sched.Policy.d_why
+       else if par && bd > 1 then
+         pf "%s#pragma omp parallel for collapse(%d)%s\n" pad bd
+           (sched_clause ())
+       else if par then pf "%s#pragma omp parallel for%s\n" pad (sched_clause ());
        pf "%sfor (int %s = %s; %s <= %s; %s++) {  /* DOALL (%s) */\n" pad v
          lo v hi v
          (if bd > 1 then "concurrent, collapsible band head"
@@ -392,8 +376,7 @@ let rec emit_descriptor st buf ~depth ~indent ~par ~bound ~policy
        if par && forked then
          pf "%s#pragma omp parallel for%s\n" pad (sched_clause ())
        else if par then
-         pf "%s/* policy: sequential (%s) */\n" pad
-           (match dec with Some dc -> dc.Ps_sched.Policy.d_why | None -> "");
+         pf "%s/* policy: sequential (%s) */\n" pad dec.Ps_sched.Policy.d_why;
        pf "%sfor (int %s = 0; %s < %d; %s++) {  /* DOGROUP(%d): independent \
            residue classes */\n"
          pad gv gv g gv g;
@@ -416,8 +399,7 @@ let rec emit_descriptor st buf ~depth ~indent ~par ~bound ~policy
        if par && forked then
          pf "%s  #pragma omp parallel for%s\n" pad (sched_clause ())
        else if par then
-         pf "%s  /* policy: sequential (%s) */\n" pad
-           (match dec with Some dc -> dc.Ps_sched.Policy.d_why | None -> "");
+         pf "%s  /* policy: sequential (%s) */\n" pad dec.Ps_sched.Policy.d_why;
        pf "%s  for (int %s = 0; %s < %s; %s++) {  /* DOINSPECT(%s) */\n" pad gv
          gv dv gv de;
        pf "%s    for (int %s = (%s) + %s; %s <= %s; %s += %s) {\n" pad v lo gv
@@ -432,7 +414,7 @@ let rec emit_descriptor st buf ~depth ~indent ~par ~bound ~policy
     let bound' = l.Ps_sched.Flowchart.lp_var :: bound in
     List.iter
       (emit_descriptor st buf ~depth:(depth + 1) ~indent:(indent + (2 * !opened))
-         ~par:par' ~bound:bound' ~policy)
+         ~par:par' ~bound:bound' ~policy ~nest:dec)
       l.Ps_sched.Flowchart.lp_body;
     for i = !opened - 1 downto 0 do
       pf "%s%s}\n" pad (String.make (2 * i) ' ')
@@ -450,7 +432,7 @@ let rec emit_descriptor st buf ~depth ~indent ~par ~bound ~policy
     let bound' = s.Ps_sched.Flowchart.sv_var :: bound in
     List.iter
       (emit_descriptor st buf ~depth:(depth + 1) ~indent:(indent + 4) ~par
-         ~bound:bound' ~policy)
+         ~bound:bound' ~policy ~nest)
       s.Ps_sched.Flowchart.sv_body;
     pf "%s  }\n%s}\n" pad pad
 
@@ -531,7 +513,8 @@ let emit_module ?(windows = []) ?policy (em : Elab.emodule)
   pf "\n";
   let st = (em, windows, fc) in
   List.iter
-    (emit_descriptor st buf ~depth:0 ~indent:2 ~par:true ~bound:[] ~policy)
+    (emit_descriptor st buf ~depth:0 ~indent:2 ~par:true ~bound:[] ~policy
+       ~nest:Ps_sched.Policy.default)
     fc;
   pf "\n";
   List.iter

@@ -20,11 +20,13 @@ val emit_module :
 (** The kernel: a C function taking inputs (const pointers / scalars)
     and result out-parameters, allocating windowed locals internally.
 
-    When a [policy] table is given, each loop nest's pragmas follow its
-    per-nest decision: a nest the policy runs sequentially loses its
+    Each loop nest's pragmas follow its decision in [policy], or
+    {!Ps_sched.Policy.default} when the nest has no entry (or no table
+    is given): a nest the policy runs sequentially loses its
     [#pragma omp parallel for] (replaced by a comment carrying the
     reason), a nest with a chunk hint gains a [schedule(...)] clause,
-    and a band whose decision forbids flattening keeps [collapse] off.
+    and only a decision asking for collapse widens the pragma with a
+    [collapse] clause over the DOALL band.
     Policies never change which loops are {e legal} to parallelise —
     only which of the proved-parallel ones are worth forking. *)
 

@@ -220,20 +220,17 @@ let hyperplane ?name ~target t =
       let diagnostics = Sa_check.check_program prog in
       ({ ast; prog; diagnostics }, tr))
 
-let emit_c ?name ?(sink = false) ?(fuse = false) ?(trim = false)
-    ?(collapse = false) ?policy t =
+let emit_c ?name ?(sink = false) ?(fuse = false) ?(trim = false) ?policy t =
   wrap (fun () ->
       let em = the_module ?name t in
-      let collapse = collapse || policy <> None in
-      let sc = schedule ~sink ~fuse ~trim ~collapse em in
+      let sc = schedule ~sink ~fuse ~trim em in
       Emit.emit_module ~windows:sc.sc_windows ?policy em sc.sc_flowchart)
 
-let emit_c_main ?name ?(sink = false) ?(fuse = false) ?(trim = false)
-    ?(collapse = false) ?policy ~scalars t =
+let emit_c_main ?name ?(sink = false) ?(fuse = false) ?(trim = false) ?policy
+    ~scalars t =
   wrap (fun () ->
       let em = the_module ?name t in
-      let collapse = collapse || policy <> None in
-      let sc = schedule ~sink ~fuse ~trim ~collapse em in
+      let sc = schedule ~sink ~fuse ~trim em in
       Emit.emit_main ~windows:sc.sc_windows ?policy em sc.sc_flowchart ~scalars)
 
 (* ------------------------------------------------------------------ *)
@@ -259,22 +256,19 @@ let lint t =
 (* ------------------------------------------------------------------ *)
 (* Execution *)
 
+(* The passes a facade call ran, for callee schedules. *)
+let sched_flags ~sink ~fuse ~trim =
+  { Exec.sf_sink = sink; sf_fuse = fuse; sf_trim = trim; sf_collapse = false }
+
 let run ?name ?(sink = false) ?(fuse = false) ?(trim = false)
-    ?(collapse = false) ?(use_windows = true) ?pool ?(check = true)
-    ?(stats = false) ?policy t ~inputs =
+    ?(use_windows = true) ?pool ?(check = true) ?(stats = false)
+    ?(policy = Policy.empty) t ~inputs =
   wrap (fun () ->
       let em = the_module ?name t in
-      (* A policy decides collapse per nest, so bands are always marked
-         under one: an unmarked band could never flatten no matter what
-         the table asks, and marking alone changes nothing. *)
-      let collapse = collapse || policy <> None in
-      let sc = schedule ~sink ~fuse ~trim ~collapse em in
+      let sc = schedule ~sink ~fuse ~trim em in
       let opts =
-        { Exec.default_opts with pool; check; use_windows; collect_stats = stats;
-          policy;
-          sched_flags =
-            { Exec.sf_sink = sink; sf_fuse = fuse; sf_trim = trim;
-              sf_collapse = collapse } }
+        { Exec.pool; check; use_windows; collect_stats = stats; policy;
+          sched_flags = sched_flags ~sink ~fuse ~trim }
       in
       Exec.run ~opts
         ~flowchart:sc.sc_flowchart
@@ -291,18 +285,26 @@ let work_span ?name ?(sink = false) ?(fuse = false) ?(trim = false) t ~env =
 (* Per-nest scheduling policy *)
 
 (* The static cost model's table for a module under concrete scalar
-   inputs.  Bands are always collapse-marked first: the model decides
-   per nest whether flattening pays, and an unmarked band could not
-   flatten at all. *)
+   inputs. *)
 let static_policy ?name ?(sink = false) ?(fuse = false) ?(trim = false)
     ?overhead ?cores t ~env =
   wrap (fun () ->
       let em = the_module ?name t in
-      let sc = schedule ~sink ~fuse ~trim ~collapse:true em in
+      let sc = schedule ~sink ~fuse ~trim em in
       let cores =
         match cores with Some c -> c | None -> Pool.recommended_size ()
       in
       Costmodel.static ?overhead ~env ~cores sc.sc_flowchart)
+
+(* A policy by name: one of [Policy.preset_names], or "static" for the
+   cost model's table under [env]. *)
+let named_policy ?name ?(sink = false) ?(fuse = false) ?(trim = false) ?cores
+    t ~env mode =
+  if mode = "static" then static_policy ?name ~sink ~fuse ~trim ?cores t ~env
+  else
+    wrap (fun () ->
+        let em = the_module ?name t in
+        Policy.preset mode (schedule ~sink ~fuse ~trim em).sc_flowchart)
 
 (* Profile-guided tuning: replay the module under candidate per-nest
    policies with the loop-level profiler on, and keep, per fork
@@ -316,34 +318,19 @@ let tune ?name ?(sink = false) ?(fuse = false) ?(trim = false) ?cores
     ?(reps = 2) t ~inputs ~env =
   wrap (fun () ->
       let em = the_module ?name t in
-      let sc = schedule ~sink ~fuse ~trim ~collapse:true em in
+      let sc = schedule ~sink ~fuse ~trim em in
       let fc = sc.sc_flowchart in
       let cores =
         match cores with Some c -> c | None -> Pool.recommended_size ()
       in
       let keyed = Policy.index fc in
       let static_table = Costmodel.static ~env ~cores fc in
-      (* Uniform candidates apply one shape to every nest; collapse is
-         only requested where a band head is actually marked. *)
-      let uniform cname mk =
-        ( cname,
-          { Policy.t_source = Policy.Tuned; t_host_cores = cores;
-            t_entries = List.map (fun (l, k) -> (k, mk l)) keyed } )
-      in
-      let why = "tuned candidate" in
+      (* The presets apply one shape to every nest. *)
       let candidates =
-        [ uniform "seq" (fun _ -> Policy.sequential ~why);
-          uniform "fixed" (fun _ -> Policy.parallel ~steal:false ~why ());
-          uniform "steal" (fun _ -> Policy.parallel ~steal:true ~why ());
-          uniform "steal+collapse" (fun (l : Flowchart.loop) ->
-              Policy.parallel ~steal:true ~collapse:l.Flowchart.lp_collapse
-                ~why ());
-          ("static", static_table) ]
+        List.map (fun p -> (p, Policy.preset p fc)) Policy.preset_names
+        @ [ ("static", static_table) ]
       in
-      let sched_flags =
-        { Exec.sf_sink = sink; sf_fuse = fuse; sf_trim = trim;
-          sf_collapse = true }
-      in
+      let sched_flags = sched_flags ~sink ~fuse ~trim in
       (* Inclusive ns per nest key for one candidate table, summed over
          [reps] runs (each run compiles fresh prof sites; sites named by
          policy key make the rows attributable). *)
@@ -354,7 +341,7 @@ let tune ?name ?(sink = false) ?(fuse = false) ?(trim = false) ?cores
             (Exec.run
                ~opts:
                  { Exec.default_opts with pool = Some pool; check = false;
-                   policy = Some table; sched_flags }
+                   policy = table; sched_flags }
                ~flowchart:fc ~windows:sc.sc_windows ~prog:t.prog em ~inputs)
         done;
         let rows = Prof.rows () in
@@ -374,7 +361,7 @@ let tune ?name ?(sink = false) ?(fuse = false) ?(trim = false) ?cores
           keyed
       in
       let measured =
-        Pool.with_pool ~steal:true (max 1 cores) (fun pool ->
+        Pool.with_pool (max 1 cores) (fun pool ->
             List.map
               (fun (cname, table) -> (cname, table, measure pool table))
               candidates)

@@ -97,9 +97,15 @@ let default_inputs (em : Psc.Elab.emodule) ~(scalars : (string * int) list) :
       | [] -> (
         match List.assoc_opt name scalars with
         | Some v -> (name, Psc.Exec.scalar_int v)
-        | None -> Psc.error "fuzz: no value for scalar input %s" name)
+        | None -> Psc.error "no value for scalar input %s" name)
       | dims ->
-        let env v = List.assoc_opt v scalars in
+        (* A bound over a scalar the caller did not supply is the
+           caller's error, not an evaluation fault. *)
+        let env v =
+          match List.assoc_opt v scalars with
+          | Some _ as x -> x
+          | None -> Psc.error "no value for scalar input %s" v
+        in
         let bounds =
           List.map
             (fun (sr : Psc.Stypes.subrange) ->
@@ -572,13 +578,21 @@ let run_server tp ~scalars : outcome =
           | _ -> Trap ("server: request failed: " ^ line)))))
 
 let run_path ~pool tp ~inputs ~scalars (p : path) : outcome =
+  let preset ?name ?sink ?trim t mode =
+    Psc.named_policy ?name ?sink ?trim t ~env:scalars mode
+  in
   match p with
   | Seq -> interp_outputs (fun () -> Psc.run tp ~inputs)
   | Nowin -> interp_outputs (fun () -> Psc.run ~use_windows:false tp ~inputs)
   | Nocheck -> interp_outputs (fun () -> Psc.run ~check:false tp ~inputs)
   | Passes -> interp_outputs (fun () -> Psc.run ~sink:true ~fuse:true ~trim:true tp ~inputs)
-  | Steal -> interp_outputs (fun () -> Psc.run ~pool tp ~inputs)
-  | Collapse -> interp_outputs (fun () -> Psc.run ~pool ~collapse:true ~trim:true tp ~inputs)
+  | Steal ->
+    interp_outputs (fun () ->
+        Psc.run ~pool ~policy:(preset tp "steal") tp ~inputs)
+  | Collapse ->
+    interp_outputs (fun () ->
+        let policy = preset ~trim:true tp "steal+collapse" in
+        Psc.run ~pool ~trim:true ~policy tp ~inputs)
   | Group -> run_group ~pool tp ~inputs
   | Inspector -> run_inspector ~pool tp ~inputs
   | Hyper -> (
@@ -591,7 +605,8 @@ let run_path ~pool tp ~inputs ~scalars (p : path) : outcome =
     | None -> Skip "hyperplane not applicable"
     | Some (tp', name) ->
       interp_outputs (fun () ->
-          Psc.run ~name ~sink:true ~trim:true ~collapse:true ~pool tp' ~inputs)
+          let policy = preset ~name ~sink:true ~trim:true tp' "steal+collapse" in
+          Psc.run ~name ~sink:true ~trim:true ~pool ~policy tp' ~inputs)
     | exception Psc.Error m -> Trap m)
   | Auto ->
     (* The policy table steers chunking / stealing / flattening but must
@@ -625,7 +640,7 @@ let judge (reference : outcome) (p : path) (o : outcome) : string option =
   | (Checksums _ | Skip _), _ -> Some (Printf.sprintf "%s: unusable reference" (path_name p))
 
 let check ?(pool_size = 4) ~(paths : path list) tp ~inputs ~scalars : case_result =
-  Psc.Pool.with_pool ~steal:true pool_size @@ fun pool ->
+  Psc.Pool.with_pool pool_size @@ fun pool ->
   let reference = run_path ~pool tp ~inputs ~scalars Seq in
   let others = List.filter (fun p -> p <> Seq) paths in
   let outcomes =

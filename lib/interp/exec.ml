@@ -3,10 +3,10 @@
    The scheduler's flowchart is compiled into nested closures: iterative
    (DO) loops run on the calling domain in index order; parallel (DOALL)
    loops are handed to the domain pool, chunked, with a private frame per
-   chunk.  The outermost DOALL of a nest is parallelized; when the
-   [Collapse] pass has marked a perfect DOALL band the whole band is
-   flattened into one combined iteration space first (see
-   [compile_parallel_band]), otherwise inner DOALLs run sequentially
+   chunk.  The outermost DOALL of a nest is parallelized; when the nest's
+   policy decision asks for collapse the whole DOALL band
+   ([Collapse.band]) is flattened into one combined iteration space first
+   (see [compile_parallel_band]), otherwise inner DOALLs run sequentially
    inside each worker.
 
    Compilation of each top-level component is deferred until the moment
@@ -52,15 +52,17 @@ type opts = {
   pool : Ps_runtime.Pool.t option;  (* None: fully sequential *)
   check : bool;                     (* subscript bounds checking *)
   use_windows : bool;               (* honor virtual-dimension windows *)
-  min_par : int;                    (* smallest trip count worth forking *)
   collect_stats : bool;             (* count equation evaluations *)
   sched_flags : sched_flags;        (* passes applied to callee schedules *)
-  policy : Ps_sched.Policy.table option;  (* per-nest schedule shapes *)
+  policy : Ps_sched.Policy.table;   (* per-nest schedule shapes *)
 }
 
 let default_opts =
-  { pool = None; check = true; use_windows = true; min_par = 4;
-    collect_stats = false; sched_flags = no_sched_flags; policy = None }
+  { pool = None; check = true; use_windows = true; collect_stats = false;
+    sched_flags = no_sched_flags; policy = Ps_sched.Policy.empty }
+
+(* Smallest point count worth forking. *)
+let min_par = 4
 
 type run_result = {
   outputs : (string * value) list;
@@ -87,29 +89,23 @@ type state = {
          measured time to the nest it is deciding. *)
 }
 
+(* A nest's decision: its table entry, or [Policy.default]. *)
 let decision_of st (l : Ps_sched.Flowchart.loop) =
-  List.find_map
-    (fun (m, d) -> if m == l then Some d else None)
-    st.st_policy
+  match List.find_opt (fun (m, _) -> m == l) st.st_policy with
+  | Some (_, d) -> d
+  | None -> Ps_sched.Policy.default
 
-let par_allowed st l =
-  match decision_of st l with
-  | Some d -> d.Ps_sched.Policy.d_par
-  | None -> true
+let par_allowed st l = (decision_of st l).Ps_sched.Policy.d_par
 
 (* The pool deal for one nest: [parallel_for] with the decision's
-   steal/chunk/wake overrides, or the pool defaults when the nest has no
-   policy entry. *)
+   steal/chunk/wake choices. *)
 let policy_for st (l : Ps_sched.Flowchart.loop) =
-  match decision_of st l with
-  | None ->
-    fun pool ~lo ~hi body -> Ps_runtime.Pool.parallel_for pool ~lo ~hi body
-  | Some d ->
-    fun pool ~lo ~hi body ->
-      Ps_runtime.Pool.parallel_for ?chunk:d.Ps_sched.Policy.d_chunk_min
-        ~steal:d.Ps_sched.Policy.d_steal
-        ?chunk_max:d.Ps_sched.Policy.d_chunk_max ?wake:d.Ps_sched.Policy.d_wake
-        pool ~lo ~hi body
+  let d = decision_of st l in
+  fun pool ~lo ~hi body ->
+    Ps_runtime.Pool.parallel_for ?chunk:d.Ps_sched.Policy.d_chunk_min
+      ~steal:d.Ps_sched.Policy.d_steal
+      ?chunk_max:d.Ps_sched.Policy.d_chunk_max ?wake:d.Ps_sched.Policy.d_wake
+      pool ~lo ~hi body
 
 (* ------------------------------------------------------------------ *)
 (* The schedule memo.
@@ -120,10 +116,9 @@ let policy_for st (l : Ps_sched.Flowchart.loop) =
    content-addressed: the key is the module's *text* digest plus the
    pass fingerprint, never the module name alone — the same name can
    denote different modules across projects, and the same module
-   schedules differently under different passes (`--collapse` marks
-   bands, `--sink` changes the storage windows).  A mutex guards the
-   table because module calls can occur inside DOALL bodies running on
-   pool domains. *)
+   schedules differently under different passes (`--sink` changes the
+   storage windows).  A mutex guards the table because module calls can
+   occur inside DOALL bodies running on pool domains. *)
 
 type cached_sched = {
   cs_flowchart : Ps_sched.Flowchart.t;
@@ -156,7 +151,6 @@ let schedule_with_flags (em : Elab.emodule) (f : sched_flags) : cached_sched =
     else (fc, 0)
   in
   let fc, _ = if f.sf_trim then Ps_sched.Trim.apply em fc else (fc, 0) in
-  let fc = if f.sf_collapse then Ps_sched.Collapse.mark fc else fc in
   { cs_flowchart = fc; cs_windows = windows }
 
 let memo_sched (em : Elab.emodule) (f : sched_flags) : cached_sched =
@@ -253,11 +247,11 @@ and call st fname (args : value list) : value list =
           (List.length callee.Elab.em_params)
           (List.length args)
     in
-    (* Nested module bodies run sequentially: the caller may already be
-       inside a parallel region. *)
     (* Callees run sequentially inside the caller's iterations; a policy
        is resolved against the caller's flowchart and does not follow. *)
-    let opts = { st.st_opts with pool = None; policy = None } in
+    let opts =
+      { st.st_opts with pool = None; policy = Ps_sched.Policy.empty }
+    in
     let r =
       run_flowchart ~opts ~prog:st.st_prog callee
         ~flowchart:sched.cs_flowchart ~windows:sched.cs_windows ~inputs
@@ -440,7 +434,6 @@ and compile_grouped st benv' ~par ~max_slot ~slot ~lo_f ~hi_f
     let body =
       compile_descs st benv' ~par:false ~max_slot l.Ps_sched.Flowchart.lp_body
     in
-    let min_par = st.st_opts.min_par in
     let pfor = policy_for st l in
     fun fr ->
       let g = g_f fr in
@@ -520,8 +513,9 @@ and profile_loop st (l : Ps_sched.Flowchart.loop) (f : Compile.frame -> unit) :
   end
 
 (* Parallel execution of a DOALL, possibly as the head of a collapsed
-   band.  [Collapse] marks perfect DOALL pairs; this backend flattens as
-   much of the marked chain as the bound shapes allow:
+   band.  When the nest's decision asks for collapse, this backend
+   flattens as much of the DOALL band ([Collapse.band]) as the bound
+   shapes allow:
 
    - a *rectangular* prefix (no inner bound mentions a band variable)
      becomes one product space decoded by div/mod once per chunk and
@@ -538,31 +532,16 @@ and profile_loop st (l : Ps_sched.Flowchart.loop) (f : Compile.frame -> unit) :
 
    The fork heuristic compares [min_par] against the *total* point count
    of the band: exact for a flattened band, and estimated (inner extents
-   sampled at the first row) for an unmarked structural nest, so a
+   sampled at the first row) for a band kept nested, so a
    [DOALL I(3) (DOALL J(10^6))] still forks even when collapsing is off. *)
 
 and compile_parallel_band st benv ~max_slot pool (l : Ps_sched.Flowchart.loop) :
     Compile.frame -> unit =
   let open Ps_sched.Flowchart in
-  let min_par = st.st_opts.min_par in
   let pfor = policy_for st l in
-  (* A policy decision at the head governs the whole band: whether the
-     marked chain may flatten at all, and the shape of the deal. *)
-  let allow_collapse =
-    match decision_of st l with
-    | Some d -> d.Ps_sched.Policy.d_collapse
-    | None -> true
-  in
-  (* The chain of perfectly nested DOALLs headed at [l]: loops marked by
-     [Collapse] when [marked], any perfect DOALL nesting otherwise (used
-     only to estimate the band's point count). *)
-  let rec chain ~marked (l : loop) =
-    match l.lp_body with
-    | [ D_loop inner ]
-      when inner.lp_kind = Parallel && ((not marked) || l.lp_collapse) ->
-      l :: chain ~marked inner
-    | _ -> [ l ]
-  in
+  (* The DOALL band headed at [l].  The decision at the head governs all
+     of it: whether it flattens, and the shape of the deal. *)
+  let chain = Ps_sched.Collapse.band l in
   (* Compile each band loop's bounds with the previous band variables in
      scope; returns (slot, lo_f, hi_f) outermost first plus the extended
      environment for the innermost body. *)
@@ -591,14 +570,14 @@ and compile_parallel_band st benv ~max_slot pool (l : Ps_sched.Flowchart.loop) :
       bl :: rect_prefix (bl.lp_var :: vars) rest
     | _ -> []
   in
-  let marked = if allow_collapse then chain ~marked:true l else [ l ] in
   let band =
-    match marked with
-    | [] | [ _ ] -> `Single
-    | l0 :: rest -> (
+    match chain with
+    | l0 :: (_ :: _ as rest) when (decision_of st l).Ps_sched.Policy.d_collapse
+      -> (
       match rect_prefix [ l0.lp_var ] rest with
       | _ :: _ as tail -> `Rect (l0 :: tail)
       | [] -> `Tri (l0, List.hd rest))
+    | _ -> `Single
   in
   match band with
   | `Single ->
@@ -613,7 +592,7 @@ and compile_parallel_band st benv ~max_slot pool (l : Ps_sched.Flowchart.loop) :
        structural nest's extents, inner bounds sampled at the first row
        (the band slots are scratch until the loop runs, so writing the
        sample values into the frame is harmless). *)
-    let est_bounds, _ = compile_bounds benv (chain ~marked:false l) in
+    let est_bounds, _ = compile_bounds benv chain in
     let est_total fr =
       List.fold_left
         (fun total (s, lo_f, hi_f) ->
@@ -922,10 +901,7 @@ and run_flowchart ~opts ~prog (em : Elab.emodule)
       st_windows = windows;
       st_slabs = Hashtbl.create 16;
       st_evals = Atomic.make 0;
-      st_policy =
-        (match opts.policy with
-        | Some t -> Ps_sched.Policy.resolve t flowchart
-        | None -> []);
+      st_policy = Ps_sched.Policy.resolve opts.policy flowchart;
       st_keys =
         (if Prof.enabled () then Ps_sched.Policy.index flowchart else []) }
   in

@@ -3,7 +3,8 @@
     The schedule is compiled into nested closures: DO loops run on the
     calling domain in index order; DOALL loops go to the domain pool,
     chunked, with a private frame per chunk (only the outermost DOALL of
-    a nest is parallelized).  Compilation of each top-level component is
+    a nest is parallelized, its band flattened when the nest's policy
+    decision asks).  Compilation of each top-level component is
     deferred to just before it executes, so arrays whose bounds depend on
     computed scalar locals allocate after those scalars exist — sound by
     the scheduler's topological component order. *)
@@ -20,7 +21,9 @@ type sched_flags = {
     reached through module-call equations are scheduled under the same
     passes, and the process-wide schedule memo is keyed by this
     fingerprint together with the module's content digest — never by the
-    module name alone. *)
+    module name alone.  [sf_collapse] changes no schedule (flattening is
+    a policy decision); it stays because the compile server's wire flags
+    and cache keys carry it. *)
 
 val no_sched_flags : sched_flags
 
@@ -31,19 +34,19 @@ type opts = {
   pool : Ps_runtime.Pool.t option;  (** [None]: fully sequential *)
   check : bool;                     (** subscript bounds checking *)
   use_windows : bool;               (** honor virtual-dimension windows *)
-  min_par : int;                    (** smallest trip count worth forking *)
   collect_stats : bool;             (** count equation evaluations *)
   sched_flags : sched_flags;        (** passes applied to callee schedules *)
-  policy : Ps_sched.Policy.table option;
-      (** Per-nest schedule shapes; [None] keeps the pool-global
-          behavior.  A nest whose decision is [d_par = false] compiles
-          sequentially, collapse marks are flattened only where the
-          decision allows, and chunk/steal/wake overrides go to the pool
-          per job.  Policies never change results. *)
+  policy : Ps_sched.Policy.table;
+      (** Per-nest schedule shapes; a nest without an entry runs under
+          {!Ps_sched.Policy.default}.  A nest whose decision is
+          [d_par = false] compiles sequentially, its DOALL band is
+          flattened only when [d_collapse] asks, and the steal/chunk/wake
+          choices go to the pool per job.  Policies never change
+          results. *)
 }
 
 val default_opts : opts
-(** Sequential, checked, windowed, no statistics, no policy. *)
+(** Sequential, checked, windowed, no statistics, empty policy. *)
 
 val sched_cache_stats : unit -> int * int
 (** [(entries, hits)] of the process-wide schedule memo. *)

@@ -11,13 +11,16 @@
    counts, the standard loop-collapsing transformation (cf. OpenMP's
    [collapse] clause).
 
-   This pass only *marks* the heads of collapsible bands
-   ([lp_collapse]); the interpreter ([Ps_interp.Exec]) and the code
-   generator decide how much of a marked band they can actually flatten
-   (e.g. the interpreter needs the inner bounds to be affine in at most
-   the head variable).  The mark is purely structural:
+   The band itself is structural ([band] below): whether a nest is
+   flattened is its policy decision's [d_collapse], and the interpreter
+   ([Ps_interp.Exec]) and the code generator decide how much of the band
+   they can actually flatten (e.g. the interpreter needs the inner
+   bounds to be affine in at most the head variable).  This pass only
+   *marks* the heads of collapsible bands ([lp_collapse]) for display
+   ([psc schedule --collapse]) and for the verifier.  A loop heads a
+   band when:
 
-   - the loop is DOALL, and
+   - it is DOALL, and
    - its body is exactly one descriptor, itself a DOALL loop
 
    (i.e. the nest is *perfect*: no equations or data placements sit
@@ -38,6 +41,17 @@ let collapsible (l : Flowchart.loop) =
   && (match l.Flowchart.lp_body with
      | [ Flowchart.D_loop inner ] -> is_parallel inner
      | _ -> false)
+
+(* The DOALL band rooted at [l]: [l] plus every loop of the perfect
+   DOALL chain below it ([l] alone when it heads no pair).  This is the
+   one definition of a band: the interpreter flattens it, the C back end
+   widens its pragma over it, and the cost model prices it — each only
+   when the nest's policy decision asks for collapse.  Marks play no
+   part; a marked head is exactly one whose band has two or more loops. *)
+let rec band (l : Flowchart.loop) : Flowchart.loop list =
+  match l.Flowchart.lp_body with
+  | [ Flowchart.D_loop inner ] when collapsible l -> l :: band inner
+  | _ -> [ l ]
 
 let rec mark_descs (descs : Flowchart.t) : Flowchart.t =
   List.map mark_desc descs

@@ -42,9 +42,9 @@ and loop = {
   lp_range : Stypes.subrange;   (* bounds of the loop *)
   lp_kind : loop_kind;
   lp_collapse : bool;
-      (* Head of a perfectly nested DOALL band: the interpreter and code
-         generator may flatten this loop together with the DOALL
-         immediately inside it into one combined iteration space.
+      (* Head of a perfectly nested DOALL band, for display and the
+         verifier only: flattening follows the nest's policy decision
+         over the structural band ([Collapse.band]), marked or not.
          Marked by the [Collapse] pass; always false straight out of the
          scheduler. *)
   lp_body : descriptor list;

@@ -36,9 +36,10 @@ and loop = {
   lp_range : Ps_sem.Stypes.subrange;     (** loop bounds *)
   lp_kind : loop_kind;
   lp_collapse : bool;
-      (** head of a perfectly nested DOALL band that may be flattened
-          into one combined iteration space; set by {!Collapse}, always
-          [false] straight out of the scheduler *)
+      (** head of a perfectly nested DOALL band, for display and the
+          verifier (E021) only — whether a band is flattened is its
+          nest's policy decision; set by {!Collapse}, always [false]
+          straight out of the scheduler *)
   lp_body : descriptor list;
 }
 

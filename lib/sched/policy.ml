@@ -39,6 +39,10 @@ let parallel ?(steal = true) ?(collapse = false) ?chunk_min ?chunk_max ?wake
     d_chunk_min = chunk_min; d_chunk_max = chunk_max; d_wake = wake;
     d_why = why }
 
+(* The decision of every nest a table does not name: fork, steal, keep
+   the band nested. *)
+let default = parallel ~why:"default" ()
+
 type table = {
   t_source : source;
   t_host_cores : int;
@@ -46,6 +50,8 @@ type table = {
          do not transfer across hosts, so a mismatch is staleness (W121). *)
   t_entries : (string * decision) list;
 }
+
+let empty = { t_source = Static; t_host_cores = 0; t_entries = [] }
 
 (* --- nest keys ------------------------------------------------------ *)
 
@@ -89,15 +95,40 @@ let find (t : table) key = List.assoc_opt key t.t_entries
 
 (* Pair each fork candidate of [fc] with its table entry; the loop
    records are physically those of [fc], so the interpreter can look
-   decisions up by identity while compiling. *)
+   decisions up by identity while compiling.  An empty table resolves
+   without walking the flowchart: every module call compiles its callee
+   under one. *)
 let resolve (t : table) (fc : Flowchart.t) :
     (Flowchart.loop * decision) list =
-  List.filter_map
-    (fun (l, key) ->
-      match find t key with Some d -> Some (l, d) | None -> None)
-    (index fc)
+  if t.t_entries = [] then []
+  else
+    List.filter_map
+      (fun (l, key) ->
+        match find t key with Some d -> Some (l, d) | None -> None)
+      (index fc)
 
 let stale (t : table) ~host_cores = t.t_host_cores <> host_cores
+
+(* --- presets -------------------------------------------------------- *)
+
+(* The hand-picked configurations, each one shape applied to every fork
+   candidate.  Collapse is only asked for where a nest heads a band of
+   two or more loops, so a preset table passes [validate].  Presets do
+   not depend on the host: they record 0 cores. *)
+let preset_names = [ "seq"; "fixed"; "steal"; "steal+collapse" ]
+
+let preset name (fc : Flowchart.t) : table =
+  let why = name ^ " preset" in
+  let mk =
+    match name with
+    | "seq" -> fun _ -> sequential ~why
+    | "fixed" -> fun _ -> parallel ~steal:false ~why ()
+    | "steal" -> fun _ -> parallel ~why ()
+    | "steal+collapse" ->
+      fun l -> parallel ~collapse:(List.length (Collapse.band l) >= 2) ~why ()
+    | _ -> invalid_arg ("Policy.preset: unknown preset " ^ name)
+  in
+  { empty with t_entries = List.map (fun (l, key) -> (key, mk l)) (index fc) }
 
 (* --- rendering ------------------------------------------------------ *)
 
@@ -230,26 +261,21 @@ let of_json (s : string) : (table, string) result =
 (* --- structural validation ------------------------------------------ *)
 
 (* A table is well-formed for a flowchart when every entry names an
-   existing fork candidate and collapse is only requested on a marked
-   band head.  Policies are advisory, so an ill-formed table is a
+   existing fork candidate and collapse is only requested on a nest that
+   heads a band.  Policies are advisory, so an ill-formed table is a
    caller error, not a legality problem — legality stays with the
    verifier regardless of what the policy asks for. *)
 let validate (t : table) (fc : Flowchart.t) : string list =
-  let keys = List.map snd (index fc) in
-  let marked =
-    List.filter_map
-      (fun (l, key) ->
-        if l.Flowchart.lp_collapse then Some key else None)
-      (index fc)
-  in
+  let keyed = List.map (fun (l, key) -> (key, l)) (index fc) in
   List.concat_map
     (fun (key, d) ->
-      if not (List.mem key keys) then
-        [ Printf.sprintf "policy entry %S matches no loop nest" key ]
-      else if d.d_collapse && not (List.mem key marked) then
+      match List.assoc_opt key keyed with
+      | None -> [ Printf.sprintf "policy entry %S matches no loop nest" key ]
+      | Some l when d.d_collapse && List.length (Collapse.band l) < 2 ->
         [ Printf.sprintf
-            "policy entry %S requests collapse on an unmarked nest" key ]
-      else
+            "policy entry %S requests collapse on a nest with no DOALL band"
+            key ]
+      | Some _ ->
         let low =
           List.filter_map
             (fun c ->

@@ -15,7 +15,7 @@ val source_of_name : string -> source option
 
 type decision = {
   d_par : bool;       (** false: run the whole nest sequentially *)
-  d_collapse : bool;  (** flatten the marked DOALL band under this head *)
+  d_collapse : bool;  (** flatten the DOALL band ({!Collapse.band}) here *)
   d_steal : bool;     (** work-stealing deal vs fixed contiguous chunks *)
   d_chunk_min : int option;  (** per-job floor on a claimed chunk *)
   d_chunk_max : int option;  (** per-job ceiling on a claimed chunk *)
@@ -35,11 +35,18 @@ val parallel :
   unit ->
   decision
 
+val default : decision
+(** The decision of every nest a table does not name: parallel,
+    work-stealing, no collapse. *)
+
 type table = {
   t_source : source;
   t_host_cores : int;
   t_entries : (string * decision) list;
 }
+
+val empty : table
+(** No entries: every nest runs under {!default}. *)
 
 val index : Flowchart.t -> (Flowchart.loop * string) list
 (** The fork candidates of a flowchart — parallel-kind loops reachable
@@ -58,6 +65,16 @@ val stale : table -> host_cores:int -> bool
 (** Chunk and wake choices do not transfer across hosts: a table tuned
     for a different core count is stale (diagnostic W121). *)
 
+val preset_names : string list
+(** ["seq"; "fixed"; "steal"; "steal+collapse"]. *)
+
+val preset : string -> Flowchart.t -> table
+(** The named hand-picked configuration as a table over the flowchart's
+    fork candidates: one shape for every nest, collapse only where a
+    nest heads a band of two or more loops.  Host-independent
+    ([t_host_cores = 0]).
+    @raise Invalid_argument on a name outside {!preset_names}. *)
+
 val summary : decision -> string
 (** Compact form, e.g. ["seq"], ["steal+collapse"],
     ["fixed,chunk>=8,wake=64"]. *)
@@ -74,5 +91,6 @@ val of_json : string -> (table, string) result
 
 val validate : table -> Flowchart.t -> string list
 (** Structural problems: entries naming no nest, collapse requested on
-    an unmarked head, inverted or non-positive chunk bounds.  Empty
+    a nest that heads no DOALL band, inverted or non-positive chunk
+    bounds.  Empty
     means well-formed. *)

@@ -299,13 +299,20 @@ let emitted sv ~deadline src (rq : Proto.request) =
     Cache.find_or_build sv.sv_cache key (fun () ->
         let f = rq.Proto.rq_flags in
         let sink = f.Psc.Exec.sf_sink and fuse = f.Psc.Exec.sf_fuse in
-        let trim = f.Psc.Exec.sf_trim and collapse = f.Psc.Exec.sf_collapse in
+        let trim = f.Psc.Exec.sf_trim in
+        let policy =
+          if f.Psc.Exec.sf_collapse then
+            Some
+              (Psc.named_policy ?name:rq.Proto.rq_module ~sink ~fuse ~trim t
+                 ~env:rq.Proto.rq_scalars "steal+collapse")
+          else None
+        in
         Cache.A_emit
           (if rq.Proto.rq_main then
-             Psc.emit_c_main ?name:rq.Proto.rq_module ~sink ~fuse ~trim
-               ~collapse ~scalars:rq.Proto.rq_scalars t
+             Psc.emit_c_main ?name:rq.Proto.rq_module ~sink ~fuse ~trim ?policy
+               ~scalars:rq.Proto.rq_scalars t
            else
-             Psc.emit_c ?name:rq.Proto.rq_module ~sink ~fuse ~trim ~collapse t))
+             Psc.emit_c ?name:rq.Proto.rq_module ~sink ~fuse ~trim ?policy t))
   with
   | Cache.A_emit c, hit -> (c, hit)
   | _ -> assert false
@@ -421,9 +428,17 @@ let dispatch sv ~deadline ~info (rq : Proto.request) : string =
     let inputs = Ps_fuzz.Diff.default_inputs em ~scalars:rq.Proto.rq_scalars in
     (* A tuned policy table cached by a prior [tune] of the same
        (source, module, flags) steers this run's nests; its absence is
-       not a miss.  The staleness guard is belt-and-braces — the cache
-       key already pins the core count. *)
-    let policy = cached_policy sv src rq in
+       not a miss, and the request's collapse flag then picks the
+       steal+collapse preset.  The staleness guard is belt-and-braces —
+       the cache key already pins the core count. *)
+    let tuned = cached_policy sv src rq in
+    let policy =
+      match tuned with
+      | Some tp -> tp
+      | None when rq.Proto.rq_flags.Psc.Exec.sf_collapse ->
+        Psc.Policy.preset "steal+collapse" sc.Psc.sc_flowchart
+      | None -> Psc.Policy.empty
+    in
     let opts =
       { Psc.Exec.default_opts with
         pool = sv.sv_pool;
@@ -435,7 +450,7 @@ let dispatch sv ~deadline ~info (rq : Proto.request) : string =
         ~windows:sc.Psc.sc_windows ~prog:t.Psc.prog em ~inputs
     in
     let policy_field =
-      match policy with
+      match tuned with
       | Some tp -> [ ("policy", Proto.jstr (Psc.Policy.table_summary tp)) ]
       | None -> []
     in
@@ -518,6 +533,12 @@ let answer sv ~deadline ~info (rq : Proto.request) : string =
   | Psc.Exec.Runtime_error m -> fail "error" ("runtime error: " ^ m)
   | Psc.Value.Bounds m -> fail "error" ("subscript out of bounds: " ^ m)
   | Psc.Eval.Runtime_error m -> fail "error" ("runtime error: " ^ m)
+  | e ->
+    (* Anything else is a fault in psc, not in the request: answer it
+       under the request's own id with a typed code. *)
+    info.ri_error <- Some "E034";
+    diag_response ~id Psc.Diag.Internal_error
+      ("internal error: " ^ Printexc.to_string e)
 
 (* One JSON line per request — including rejects, which log with zeroed
    timings.  The channel mutex keeps concurrent connection threads'

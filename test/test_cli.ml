@@ -133,6 +133,35 @@ let cli_tests =
               |> List.find (fun l -> Util.contains l "checksum")
             in
             Alcotest.(check string) "same checksum" (checksum seq) (checksum par)));
+    t "run --par 2 --policy prints the sequential checksums in every mode"
+      (fun () ->
+        with_source Ps_models.Models.jacobi (fun f ->
+            let args = " -i M=12 -i maxK=8 " ^ f in
+            let _, seq = run_cli ("run" ^ args) in
+            let table = Filename.temp_file "psc_policy" ".json" in
+            Fun.protect ~finally:(fun () -> Sys.remove table) @@ fun () ->
+            Out_channel.with_open_bin table (fun oc ->
+                output_string oc
+                  (Psc.Policy.to_json
+                     (Psc.static_policy ~cores:2 (Psc.load_string Ps_models.Models.jacobi)
+                        ~env:[ ("M", 12); ("maxK", 8) ])));
+            List.iter
+              (fun mode ->
+                let file =
+                  if mode = "cached" then " --policy-file " ^ table else ""
+                in
+                let rc, out =
+                  run_cli
+                    (Printf.sprintf "run --par 2 --policy %s%s%s" mode file args)
+                in
+                Alcotest.(check int) (mode ^ ": exit") 0 rc;
+                Alcotest.(check string) (mode ^ ": outputs") seq out)
+              [ "seq"; "fixed"; "steal"; "steal+collapse"; "static"; "cached" ]));
+    t "emit-c --policy steal+collapse widens the band pragma" (fun () ->
+        with_source Ps_models.Models.jacobi (fun f ->
+            expect_ok ("emit-c --policy steal+collapse " ^ f)
+              [ "#pragma omp parallel for collapse(2)";
+                "/* DOALL (concurrent, collapsible band head) */" ]));
     t "analyze reports parallelism" (fun () ->
         with_source Ps_models.Models.jacobi (fun f ->
             expect_ok

@@ -102,13 +102,19 @@ let exec_tests =
         let r_seq = Util.run Models.jacobi inputs in
         Psc.Pool.with_pool 4 (fun pool ->
             let r_par = Util.run ~pool Models.jacobi inputs in
-            let r_col = Util.run ~pool ~collapse:true Models.jacobi inputs in
+            let r_col =
+              Util.run ~pool ~preset:"steal+collapse" Models.jacobi inputs
+            in
             Util.check_bool "par = seq" true
               (bit_equal "newA" (rel_box m) r_seq r_par);
             Util.check_bool "collapsed = seq" true
-              (bit_equal "newA" (rel_box m) r_seq r_col));
-        Psc.Pool.with_pool ~steal:false 4 (fun pool ->
-            let r = Util.run ~pool ~collapse:true Models.jacobi inputs in
+              (bit_equal "newA" (rel_box m) r_seq r_col);
+            let tp = Util.load Models.jacobi in
+            let policy =
+              Util.fixed_chunks
+                (Psc.named_policy tp ~env:[] "steal+collapse")
+            in
+            let r = Psc.run ~pool ~policy tp ~inputs in
             Util.check_bool "collapsed fixed-chunk = seq" true
               (bit_equal "newA" (rel_box m) r_seq r)));
     t "h3: collapsed triangular band is bit-identical" (fun () ->
@@ -116,14 +122,18 @@ let exec_tests =
         let inputs = Models.relaxation_inputs ~m ~maxk in
         let tp, name = h3 () in
         let r_seq = Util.run Models.seidel inputs in
-        let run ?pool ~collapse () =
-          Psc.run ?pool ~collapse ~name ~sink:true ~trim:true tp ~inputs
+        let run ?pool ?policy () =
+          Psc.run ?pool ?policy ~name ~sink:true ~trim:true tp ~inputs
         in
-        let r_h3 = run ~collapse:false () in
+        let r_h3 = run () in
         Util.check_bool "transform = original" true
           (bit_equal "newA" (rel_box m) r_seq r_h3);
         Psc.Pool.with_pool 4 (fun pool ->
-            let r = run ~pool ~collapse:true () in
+            let policy =
+              Psc.named_policy ~name ~sink:true ~trim:true tp ~env:[]
+                "steal+collapse"
+            in
+            let r = run ~pool ~policy () in
             Util.check_bool "collapsed wavefront = seq" true
               (bit_equal "newA" (rel_box m) r_seq r)));
     t "lcs: the pool protocol preserves the wavefront result" (fun () ->
@@ -144,9 +154,12 @@ let exec_tests =
         let r_seq = Psc.run tp ~inputs in
         let r_tr = Psc.run ~name ~sink:true ~trim:true tp ~inputs in
         Psc.Pool.with_pool 4 (fun pool ->
+            let policy =
+              Psc.named_policy ~name ~sink:true ~trim:true tp ~env:[]
+                "steal+collapse"
+            in
             let r_par =
-              Psc.run ~pool ~collapse:true ~name ~sink:true ~trim:true tp
-                ~inputs
+              Psc.run ~pool ~policy ~name ~sink:true ~trim:true tp ~inputs
             in
             Alcotest.(check int) "transform" (len r_seq) (len r_tr);
             Alcotest.(check int) "parallel wavefront" (len r_seq) (len r_par)));
@@ -174,7 +187,8 @@ end T;
         Alcotest.(check int) "one band" 1 sc.Psc.sc_collapsed;
         let r_seq = Psc.run tp ~inputs in
         Psc.Pool.with_pool 4 (fun pool ->
-            let r = Psc.run ~pool ~collapse:true tp ~inputs in
+            let policy = Psc.named_policy tp ~env:[] "steal+collapse" in
+            let r = Psc.run ~pool ~policy tp ~inputs in
             Util.check_bool "bit equal" true
               (bit_equal "Z" [ (1, 2); (1, n) ] r_seq r))) ]
 
@@ -256,14 +270,16 @@ let collapse_prop =
       let inputs = inputs_of s in
       let box = rel_box s.m in
       let r_seq = Psc.run tp ~inputs in
+      let collapsed = Psc.named_policy tp ~env:[] "steal+collapse" in
       Psc.Pool.with_pool 3 (fun pool ->
-          Psc.Pool.with_pool ~steal:false 3 (fun fixed ->
-              let r_par = Psc.run ~pool tp ~inputs in
-              let r_col = Psc.run ~pool ~collapse:true tp ~inputs in
-              let r_fix = Psc.run ~pool:fixed ~collapse:true tp ~inputs in
-              bit_equal "Out" box r_seq r_par
-              && bit_equal "Out" box r_seq r_col
-              && bit_equal "Out" box r_seq r_fix)))
+          let r_par = Psc.run ~pool tp ~inputs in
+          let r_col = Psc.run ~pool ~policy:collapsed tp ~inputs in
+          let r_fix =
+            Psc.run ~pool ~policy:(Util.fixed_chunks collapsed) tp ~inputs
+          in
+          bit_equal "Out" box r_seq r_par
+          && bit_equal "Out" box r_seq r_col
+          && bit_equal "Out" box r_seq r_fix))
 
 let () =
   Alcotest.run "collapse"

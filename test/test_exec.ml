@@ -187,8 +187,8 @@ end Use;
            old flags.  Flip flags in-process and check both correctness
            and the cache bookkeeping. *)
         Psc.Exec.sched_cache_clear ();
-        let run_driver ?collapse ?sink () =
-          Util.run ?collapse ?sink ~name:"Driver" Ps_models.Models.two_module
+        let run_driver ?fuse ?sink () =
+          Util.run ?fuse ?sink ~name:"Driver" Ps_models.Models.two_module
             inputs
         in
         let out r = List.assoc "Out" r.Psc.Exec.outputs in
@@ -206,7 +206,7 @@ end Use;
         (* Different flags: distinct keys, and results still match a
            fresh reference (stale-schedule reuse would break sink's
            window changes). *)
-        let r_flags = run_driver ~collapse:true ~sink:true () in
+        let r_flags = run_driver ~fuse:true ~sink:true () in
         let entries2, _ = Psc.Exec.sched_cache_stats () in
         Alcotest.(check bool) "flag flip adds distinct entries" true
           (entries2 > entries1);

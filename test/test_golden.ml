@@ -1,5 +1,6 @@
-(* Golden snapshots: the scheduled flowchart text and the emitted C for
-   every built-in model and every example spec, compared byte-for-byte
+(* Golden snapshots: the scheduled flowchart text, the emitted C and the
+   emitted C under the steal+collapse policy preset for every built-in
+   model and every example spec, compared byte-for-byte
    against test/golden/.  A schedule or back-end change that moves any
    of these fails here with instructions; `make promote` re-blesses the
    whole directory after the drift is reviewed.
@@ -23,7 +24,20 @@ let c_text src =
   | exception Psc.Error m -> "ERROR: " ^ m ^ "\n"
   | tp -> ( match Psc.emit_c tp with exception Psc.Error m -> "ERROR: " ^ m ^ "\n" | c -> c)
 
-let renderings = [ ("flow.txt", flow_text); ("c", c_text) ]
+(* The C under the steal+collapse preset: every DOALL band widened with
+   a collapse clause, inner band loops annotated as band heads. *)
+let collapse_c_text src =
+  match Psc.load_string src with
+  | exception Psc.Error m -> "ERROR: " ^ m ^ "\n"
+  | tp -> (
+    match
+      Psc.emit_c ~policy:(Psc.named_policy tp ~env:[] "steal+collapse") tp
+    with
+    | exception Psc.Error m -> "ERROR: " ^ m ^ "\n"
+    | c -> c)
+
+let renderings =
+  [ ("flow.txt", flow_text); ("c", c_text); ("collapse.c", collapse_c_text) ]
 
 let golden_dir () =
   match

@@ -13,11 +13,12 @@ let hyper_project, hyper_tr = Psc.hyperplane ~target:"A" seidel
 
 let hyper_name = hyper_tr.Psc.Transform.tr_module.Psc.Ast.m_name
 
-(* The scheduled flowchart a policy table is resolved against: always
-   collapse-marked, as [Psc.run ~policy] schedules. *)
+(* The scheduled flowchart a policy table is resolved against, as
+   [Psc.run ~policy] schedules it: no collapse marks, bands are
+   structural. *)
 let flowchart ?name ?(sink = false) ?(trim = false) tp =
   let em = Psc.the_module ?name tp in
-  (Psc.schedule ~sink ~trim ~collapse:true em).Psc.sc_flowchart
+  (Psc.schedule ~sink ~trim em).Psc.sc_flowchart
 
 let decision table key =
   match Psc.Policy.find table key with
@@ -184,6 +185,32 @@ let verify_tests =
         | [ d ] ->
           Alcotest.(check string) "code" "E025" (Psc.Diag.code_id d.Psc.Diag.d_code)
         | ds -> Alcotest.failf "expected one E025, got %d" (List.length ds));
+    t "collapse on a nest that heads no band is E025" (fun () ->
+        (* grp's only nest is a DOGROUP: nothing to flatten. *)
+        let grp = Psc.load_string Ps_models.Models.strided_copy in
+        let fc = flowchart grp in
+        let table =
+          Psc.Policy.preset "steal" fc |> fun tp ->
+          { tp with
+            Psc.Policy.t_entries =
+              List.map
+                (fun (k, d) -> (k, { d with Psc.Policy.d_collapse = true }))
+                tp.Psc.Policy.t_entries }
+        in
+        Alcotest.(check bool) "has a nest" true (table.Psc.Policy.t_entries <> []);
+        Alcotest.(check bool) "rejected" true
+          (Psc.Diag.errors (Psc.Verify.policy_table table fc) <> []));
+    t "every preset verifies cleanly on an unmarked flowchart" (fun () ->
+        let fc = flowchart jacobi in
+        List.iter
+          (fun p ->
+            let table = Psc.Policy.preset p fc in
+            Alcotest.(check int) (p ^ ": one entry per nest")
+              (List.length (Psc.Policy.index fc))
+              (List.length table.Psc.Policy.t_entries);
+            Alcotest.(check int) (p ^ ": no diagnostics") 0
+              (List.length (Psc.Verify.policy_table table fc)))
+          Psc.Policy.preset_names);
     t "inverted chunk bounds are E025" (fun () ->
         let fc = flowchart jacobi in
         let table =
@@ -243,7 +270,7 @@ let exec_tests =
             (None, seidel, false, false, [ ("M", 12); ("maxK", 4) ]) ]);
     t "an all-sequential table forks nothing even with a pool" (fun () ->
         let em = Psc.the_module jacobi in
-        let sc = Psc.schedule ~collapse:true em in
+        let sc = Psc.schedule em in
         let inputs = Ps_models.Models.relaxation_inputs ~m:8 ~maxk:4 in
         let keyed = Psc.Policy.index sc.Psc.sc_flowchart in
         let table =
@@ -256,12 +283,50 @@ let exec_tests =
         in
         Psc.Metrics.set_enabled true;
         let sm =
-          Psc.Pool.with_pool ~steal:true 2 (fun pool ->
+          Psc.Pool.with_pool 2 (fun pool ->
               ignore (Psc.run ~pool ~policy:table jacobi ~inputs);
               Psc.Pool.summary pool)
         in
         Psc.Metrics.set_enabled false;
-        Alcotest.(check int) "no chunks dealt" 0 sm.Psc.Pool.sm_chunks) ]
+        Alcotest.(check int) "no chunks dealt" 0 sm.Psc.Pool.sm_chunks);
+    t "collapse decisions flatten bands on an unmarked schedule" (fun () ->
+        (* A table asking for collapse (as a tuned table may) run on a
+           schedule made without collapse marks, the way the compile
+           server runs a cached table under default flags: every nest of
+           jacobi is an (M+2)x(M+2) DOALL band, so each job must deal the
+           flattened band, not its M+2 rows. *)
+        let m = 8 in
+        let em = Psc.the_module jacobi in
+        let sc = Psc.schedule ~collapse:false em in
+        Alcotest.(check int) "no marks" 0 sc.Psc.sc_collapsed;
+        let table =
+          { Psc.Policy.empty with
+            Psc.Policy.t_entries =
+              List.map
+                (fun (_, k) ->
+                  (k, Psc.Policy.parallel ~collapse:true ~why:"test" ()))
+                (Psc.Policy.index sc.Psc.sc_flowchart) }
+        in
+        let inputs = Ps_models.Models.relaxation_inputs ~m ~maxk:4 in
+        Psc.Metrics.set_enabled true;
+        let sm =
+          Fun.protect ~finally:(fun () -> Psc.Metrics.set_enabled false)
+          @@ fun () ->
+          Psc.Pool.with_pool 2 (fun pool ->
+              ignore
+                (Psc.Exec.run
+                   ~opts:
+                     { Psc.Exec.default_opts with pool = Some pool;
+                       policy = table }
+                   ~flowchart:sc.Psc.sc_flowchart ~windows:sc.Psc.sc_windows
+                   ~prog:jacobi.Psc.prog em ~inputs);
+              Psc.Pool.summary pool)
+        in
+        Alcotest.(check bool) "jobs ran" true (sm.Psc.Pool.sm_jobs > 0);
+        Alcotest.(check int) "points per job" ((m + 2) * (m + 2))
+          (sm.Psc.Pool.sm_points / sm.Psc.Pool.sm_jobs);
+        Alcotest.(check int) "every job flattened" 0
+          (sm.Psc.Pool.sm_points mod sm.Psc.Pool.sm_jobs)) ]
 
 let () =
   Alcotest.run "policy"

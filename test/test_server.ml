@@ -171,6 +171,41 @@ let stdio_tests =
             let ok = ask (run_req ~id:3 ()) in
             Alcotest.(check bool) "server survived the trip" true
               (jbool "ok" ok)));
+    t "a run without scalars is an error answer, not a dead server"
+      (fun () ->
+        (* [with_stdio_server] also asserts exit code 0 after shutdown. *)
+        with_stdio_server (fun ask ->
+            let r =
+              ask
+                (Printf.sprintf "{\"id\":7,\"op\":\"run\",\"source\":%s}"
+                   (jstring jacobi_src))
+            in
+            Alcotest.(check bool) "not ok" false (jbool "ok" r);
+            Alcotest.(check int) "id kept" 7 (jnum "id" r);
+            (match Json.member "error" r with
+            | Some (Json.Str m) ->
+              Alcotest.(check bool) "names the scalar" true
+                (Util.contains m "no value for scalar input")
+            | _ -> Alcotest.fail "no error message");
+            let ok = ask (schedule_req ~id:8 ()) in
+            Alcotest.(check int) "next id answered" 8 (jnum "id" ok);
+            Alcotest.(check bool) "next is ok" true (jbool "ok" ok)));
+    t "an unclassified fault answers E034 under the request's id" (fun () ->
+        (* A bool scalar input arrives as an int and trips an internal
+           kind check: any exception no other code covers must come back
+           as E034 with the id, and the server must stay up. *)
+        with_stdio_server (fun ask ->
+            let r =
+              ask
+                (Printf.sprintf
+                   "{\"id\":5,\"op\":\"run\",\"source\":%s,\"scalars\":{\"x\":1}}"
+                   (jstring "T: module (x: bool): [y: bool]; define y = x; end T;"))
+            in
+            Alcotest.(check bool) "not ok" false (jbool "ok" r);
+            Alcotest.(check int) "id kept" 5 (jnum "id" r);
+            Alcotest.(check string) "E034" "E034" (first_code r);
+            let ok = ask (schedule_req ~id:6 ()) in
+            Alcotest.(check bool) "server survived" true (jbool "ok" ok)));
     t "run answers match the in-process interpreter bit for bit" (fun () ->
         with_stdio_server (fun ask ->
             let r = ask (run_req ()) in

@@ -19,10 +19,23 @@ let windows_of ?(sink = false) src =
       (w.Psc.Schedule.w_data, w.Psc.Schedule.w_dim, w.Psc.Schedule.w_size))
     sc.Psc.sc_windows
 
-(* Run a module and return the outputs. *)
-let run ?pool ?sink ?fuse ?trim ?collapse ?use_windows ?stats ?name src inputs =
+(* Run a module and return the outputs; [preset] names the policy (a
+   {!Psc.Policy.preset_names} entry), built for the run's own passes. *)
+let run ?pool ?sink ?fuse ?trim ?preset ?use_windows ?stats ?name src inputs =
   let t = load src in
-  Psc.run ?pool ?sink ?fuse ?trim ?collapse ?use_windows ?stats ?name t ~inputs
+  let policy =
+    Option.map (Psc.named_policy ?name ?sink ?fuse ?trim t ~env:[]) preset
+  in
+  Psc.run ?pool ?sink ?fuse ?trim ?policy ?use_windows ?stats ?name t ~inputs
+
+(* A table with every entry's stealing switched off: fixed chunks on a
+   single queue, whatever else the entries decide. *)
+let fixed_chunks (tp : Psc.Policy.table) =
+  { tp with
+    Psc.Policy.t_entries =
+      List.map
+        (fun (k, d) -> (k, { d with Psc.Policy.d_steal = false }))
+        tp.Psc.Policy.t_entries }
 
 let output_real r name idx =
   Psc.Exec.read_real (List.assoc name r.Psc.Exec.outputs) idx
